@@ -126,17 +126,15 @@ let apply (d : db) (u : update) : (applied, Ucqc_error.t) result =
   | Error e -> Error e
   | Ok () ->
       let before = d.current in
-      let present = List.mem u.fact.tuple (Structure.relation before u.fact.rel) in
-      let changed =
-        match u.op with `Insert -> not present | `Delete -> present
-      in
+      (* one merge into the touched relation; a present insert or an
+         absent delete hands [before] back, so the O(1) tuple counts
+         tell a no-op without a separate membership scan *)
       let after =
-        if not changed then before
-        else
-          match u.op with
-          | `Insert -> Structure.add_tuples before u.fact.rel [ u.fact.tuple ]
-          | `Delete -> Structure.remove_tuples before u.fact.rel [ u.fact.tuple ]
+        match u.op with
+        | `Insert -> Structure.add_tuples before u.fact.rel [ u.fact.tuple ]
+        | `Delete -> Structure.remove_tuples before u.fact.rel [ u.fact.tuple ]
       in
+      let changed = Structure.num_tuples after <> Structure.num_tuples before in
       if changed then begin
         d.current <- after;
         d.sepoch <- d.sepoch + 1

@@ -8,8 +8,8 @@
     Invariants: the universe is a sorted duplicate-free list; each relation
     is a lexicographically sorted duplicate-free list of tuples of the
     symbol's arity over the universe; every signature symbol has an entry
-    (possibly empty).  Structures are immutable; all operations are
-    functional. *)
+    (possibly empty); [ntuples] is the total number of tuples.  Structures
+    are immutable; all operations are functional. *)
 
 module Listx = Listx
 module Intset = Intset
@@ -20,7 +20,15 @@ type t = {
   signature : Signature.t;
   universe : int list; (* sorted, duplicate-free *)
   relations : (string * tuple list) list; (* sorted by name, aligned with signature *)
+  ntuples : int;
+      (* Σ_R |R|, maintained by every constructor so {!num_tuples} is O(1).
+         Kept last: the polymorphic {!compare_t} compares fields in order,
+         and the count is a function of [relations], so it never decides
+         an ordering. *)
 }
+
+let count_tuples (relations : (string * tuple list) list) : int =
+  List.fold_left (fun acc (_, ts) -> acc + List.length ts) 0 relations
 
 (* ------------------------------------------------------------------ *)
 (* Construction                                                       *)
@@ -66,7 +74,7 @@ let make (signature : Signature.t) (universe : int list)
         (s.name, normalize_tuples tuples))
       signature
   in
-  { signature; universe; relations }
+  { signature; universe; relations; ntuples = count_tuples relations }
 
 (** [empty signature] is the structure with empty universe and relations. *)
 let empty (signature : Signature.t) : t = make signature [] []
@@ -97,8 +105,7 @@ let size (a : t) : int =
       0 a.relations
 
 (** [num_tuples a] is the total number of tuples across all relations. *)
-let num_tuples (a : t) : int =
-  List.fold_left (fun acc (_, ts) -> acc + List.length ts) 0 a.relations
+let num_tuples (a : t) : int = a.ntuples
 
 let equal (a : t) (b : t) : bool =
   Signature.equal a.signature b.signature
@@ -110,28 +117,75 @@ let compare_t (a : t) (b : t) : int = compare a b
 (* Algebraic operations                                               *)
 (* ------------------------------------------------------------------ *)
 
+let replace_relation (a : t) (name : string) (ts : tuple list) ~(delta : int)
+    : t =
+  {
+    a with
+    relations =
+      List.map
+        (fun (n, old) -> if n = name then (n, ts) else (n, old))
+        a.relations;
+    ntuples = a.ntuples + delta;
+  }
+
 (** [add_tuples a name tuples] adds tuples to a relation, extending the
-    universe with any new elements. *)
+    universe with any new elements.  Only the new tuples are validated
+    and sorted; they are merged into the one sorted relation they join,
+    whose suffix past the last new tuple is shared, not copied.  The
+    universe is rebuilt only when a new element appears.  The result is
+    the structure [make] would build from the concatenated relations, at
+    O(|R| + |U| + k log k) for [k] new tuples instead of
+    O(|D| log |D|). *)
 let add_tuples (a : t) (name : string) (tuples : tuple list) : t =
-  let extra = List.concat tuples in
-  make a.signature (a.universe @ extra)
-    ((name, relation a name @ tuples)
-    :: List.filter (fun (n, _) -> n <> name) a.relations)
+  let arity =
+    match Signature.find_opt a.signature name with
+    | Some s -> s.arity
+    | None -> invalid_arg ("Structure.add_tuples: unknown symbol " ^ name)
+  in
+  List.iter
+    (fun tup ->
+      if List.length tup <> arity then
+        invalid_arg
+          (Printf.sprintf "Structure.add_tuples: arity mismatch in %s" name))
+    tuples;
+  let elems = Listx.sort_uniq_ints (List.concat tuples) in
+  let a =
+    if Listx.is_subset_sorted elems a.universe then a
+    else { a with universe = Listx.union_sorted a.universe elems }
+  in
+  let rec merge acc added old fresh =
+    match (old, fresh) with
+    | _, [] -> (List.rev_append acc old, added)
+    | [], _ -> (List.rev_append acc fresh, added + List.length fresh)
+    | o :: os, f :: fs ->
+        let c = compare o f in
+        if c < 0 then merge (o :: acc) added os fresh
+        else if c > 0 then merge (f :: acc) (added + 1) old fs
+        else merge (o :: acc) added os fs
+  in
+  match merge [] 0 (relation a name) (normalize_tuples tuples) with
+  | _, 0 -> a
+  | ts, added -> replace_relation a name ts ~delta:added
 
 (** [remove_tuples a name tuples] removes the listed tuples from a
     relation; absent tuples are ignored and the universe is kept as-is
     (the dynamic setting of Section 1.2 fixes the domain, and isolated
     elements still feed the [|U|^k] factor of isolated free
-    variables). *)
+    variables).  The relation's suffix past the last removed tuple is
+    shared, not copied. *)
 let remove_tuples (a : t) (name : string) (tuples : tuple list) : t =
-  let keep = List.filter (fun t -> not (List.mem t tuples)) (relation a name) in
-  {
-    a with
-    relations =
-      List.map
-        (fun (n, ts) -> if n = name then (n, keep) else (n, ts))
-        a.relations;
-  }
+  let rec drop acc removed old gone =
+    match (old, gone) with
+    | _, [] | [], _ -> (List.rev_append acc old, removed)
+    | o :: os, g :: gs ->
+        let c = compare o g in
+        if c < 0 then drop (o :: acc) removed os gone
+        else if c > 0 then drop acc removed old gs
+        else drop acc (removed + 1) os gs
+  in
+  match drop [] 0 (relation a name) (normalize_tuples tuples) with
+  | _, 0 -> a
+  | ts, removed -> replace_relation a name ts ~delta:(-removed)
 
 (** [extend a syms rels] adds fresh symbols with the given extensions.
     Only the new tuples are validated and sorted; [a]'s own relations are
@@ -180,6 +234,7 @@ let extend (a : t) (syms : Signature.symbol list)
       List.merge
         (fun (n1, _) (n2, _) -> compare n1 n2)
         a.relations new_rels;
+    ntuples = a.ntuples + count_tuples new_rels;
   }
 
 (** [union a b] is the structure union A ∪ B of Section 2.2 (universes and

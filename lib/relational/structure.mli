@@ -28,16 +28,24 @@ val relations : t -> (string * tuple list) list
     (Section 2.2). *)
 val size : t -> int
 
+(** [num_tuples a] is [Σ_R |R^A|], carried by the structure: O(1). *)
 val num_tuples : t -> int
 val equal : t -> t -> bool
 val compare_t : t -> t -> int
 
-(** [add_tuples a name tuples] extends a relation (and the universe). *)
+(** [add_tuples a name tuples] extends a relation (and the universe).
+    Equal to {!make} over the concatenated relations, but only the new
+    tuples are validated and sorted: they are merged into the one
+    relation they join, and the universe is rebuilt only when a new
+    element appears — [O(|R| + |U| + k log k)] for [k] new tuples.
+    Returns [a] itself when every tuple is already present.
+    @raise Invalid_argument for unknown symbols or arity mismatches. *)
 val add_tuples : t -> string -> tuple list -> t
 
 (** [remove_tuples a name tuples] removes the listed tuples from a
     relation (absent tuples are ignored; the universe is unchanged, so
-    isolated elements keep contributing to counts).
+    isolated elements keep contributing to counts).  Returns [a] itself
+    when none of the tuples is present.
     @raise Invalid_argument for unknown symbols. *)
 val remove_tuples : t -> string -> tuple list -> t
 

@@ -973,6 +973,32 @@ let access_line (w : work) (resp : Protocol.response) ~(elapsed_ms : float)
          ("queue_ms", fnum queue_ms);
        ])
 
+(* Republish the coherent snapshot that [stats] and scrapes read.  Its
+   cost is O(cache entries): the tuple count is carried by the
+   structure, so no part of it walks the database. *)
+let publish_snapshot (t : t) (cache : Cache.t) : unit =
+  let a = ref 0 and b = ref 0 and c = ref 0 in
+  Cache.iter cache (fun e ->
+      match e.Cache.maint with
+      | None -> ()
+      | Some st -> (
+          match Delta.effective_tier st with
+          | Tier.A -> incr a
+          | Tier.B -> incr b
+          | Tier.C -> incr c));
+  Atomic.set t.eval_snap
+    {
+      es_pool_spawned = Pool.spawn_count ();
+      es_pool_idle = Pool.idle_count ();
+      es_cache_entries = Cache.entries cache;
+      es_cache_invalids = Cache.invalids cache;
+      es_db_epoch = Delta.epoch t.ddb;
+      es_db_tuples = Structure.num_tuples (Delta.structure t.ddb);
+      es_maint_a = !a;
+      es_maint_b = !b;
+      es_maint_c = !c;
+    }
+
 (* Per-request isolation boundary: nothing thrown while answering one
    request may reach the evaluator loop. *)
 let process (t : t) (cache : Cache.t) (w : work) : unit =
@@ -1021,31 +1047,11 @@ let process (t : t) (cache : Cache.t) (w : work) : unit =
         flush oc
     | None -> ()
   end;
+  (* publish before answering, so a [stats] or scrape issued after this
+     response reflects it (a mutation's tuple count and epoch included) *)
+  publish_snapshot t cache;
   send w.wconn resp;
   release t w.wconn
-
-let publish_snapshot (t : t) (cache : Cache.t) : unit =
-  let a = ref 0 and b = ref 0 and c = ref 0 in
-  Cache.iter cache (fun e ->
-      match e.Cache.maint with
-      | None -> ()
-      | Some st -> (
-          match Delta.effective_tier st with
-          | Tier.A -> incr a
-          | Tier.B -> incr b
-          | Tier.C -> incr c));
-  Atomic.set t.eval_snap
-    {
-      es_pool_spawned = Pool.spawn_count ();
-      es_pool_idle = Pool.idle_count ();
-      es_cache_entries = Cache.entries cache;
-      es_cache_invalids = Cache.invalids cache;
-      es_db_epoch = Delta.epoch t.ddb;
-      es_db_tuples = Structure.num_tuples (Delta.structure t.ddb);
-      es_maint_a = !a;
-      es_maint_b = !b;
-      es_maint_c = !c;
-    }
 
 let evaluator_loop (t : t) : unit =
   let cache = Cache.create ~capacity:t.cfg.cache_capacity () in
@@ -1055,7 +1061,6 @@ let evaluator_loop (t : t) : unit =
     | None -> ()
     | Some w ->
         process t cache w;
-        publish_snapshot t cache;
         loop ()
   in
   (try loop () with _ -> ());

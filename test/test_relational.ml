@@ -112,6 +112,131 @@ let qcheck_tensor =
         Struct_iso.isomorphic d (Structure.rename d (fun v -> 100 - v)));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Single-relation mutations and the carried tuple count              *)
+(* ------------------------------------------------------------------ *)
+
+let sg_ep = Signature.make [ Signature.symbol "E" 2; Signature.symbol "P" 1 ]
+
+type mutation =
+  | Add of string * Structure.tuple list
+  | Remove of string * Structure.tuple list
+
+(* Elements range over 0..6 while base universes stop at 0..3, so adds
+   bring new universe elements; the small range makes duplicates,
+   present tuples and absent tuples all common. *)
+let gen_tuples (name : string) : Structure.tuple list QCheck.Gen.t =
+  let arity = Signature.arity_of sg_ep name in
+  QCheck.Gen.(list_size (int_range 0 4) (list_repeat arity (int_range 0 6)))
+
+let gen_base : Structure.t QCheck.Gen.t =
+  QCheck.Gen.(
+    int_range 1 4 >>= fun n ->
+    let elem = int_range 0 (n - 1) in
+    list_size (int_range 0 8) (list_repeat 2 elem) >>= fun e ->
+    list_size (int_range 0 3) (list_repeat 1 elem) >>= fun p ->
+    return (Structure.make sg_ep (List.init n Fun.id) [ ("E", e); ("P", p) ]))
+
+let gen_mutation : mutation QCheck.Gen.t =
+  QCheck.Gen.(
+    oneofl [ "E"; "P" ] >>= fun name ->
+    gen_tuples name >>= fun ts -> oneofl [ Add (name, ts); Remove (name, ts) ])
+
+let print_mutation (m : mutation) : string =
+  let op, n, ts =
+    match m with Add (n, ts) -> ("+", n, ts) | Remove (n, ts) -> ("-", n, ts)
+  in
+  Printf.sprintf "%s%s{%s}" op n
+    (String.concat "; "
+       (List.map (fun t -> String.concat "," (List.map string_of_int t)) ts))
+
+let print_structure (a : Structure.t) : string =
+  Format.asprintf "%a" Structure.pp a
+
+let arb_run =
+  QCheck.make
+    ~print:(fun (a, ms) ->
+      print_structure a ^ " then "
+      ^ String.concat " / " (List.map print_mutation ms))
+    QCheck.Gen.(pair gen_base (list_size (int_range 0 8) gen_mutation))
+
+(* The definitions the single-relation paths replace: [make] over the
+   concatenated relations (re-sorting and re-validating everything), and
+   a filter over the relation. *)
+let add_via_make (a : Structure.t) (name : string) (ts : Structure.tuple list)
+    : Structure.t =
+  Structure.make (Structure.signature a)
+    (Structure.universe a @ List.concat ts)
+    ((name, Structure.relation a name @ ts)
+    :: List.filter (fun (n, _) -> n <> name) (Structure.relations a))
+
+let remove_via_filter (a : Structure.t) (name : string)
+    (ts : Structure.tuple list) : Structure.t =
+  Structure.make (Structure.signature a) (Structure.universe a)
+    (List.map
+       (fun (n, rel) ->
+         (n, if n = name then List.filter (fun t -> not (List.mem t ts)) rel
+             else rel))
+       (Structure.relations a))
+
+let step (a : Structure.t) : mutation -> Structure.t = function
+  | Add (n, ts) -> Structure.add_tuples a n ts
+  | Remove (n, ts) -> Structure.remove_tuples a n ts
+
+let counted (a : Structure.t) : bool =
+  Structure.num_tuples a
+  = List.fold_left
+      (fun acc (_, ts) -> acc + List.length ts)
+      0 (Structure.relations a)
+
+let sign (c : int) : int = compare c 0
+
+let qcheck_mutations =
+  let open QCheck in
+  [
+    Test.make ~name:"num_tuples equals the summed relation lengths"
+      ~count:300 arb_run (fun (a, ms) ->
+        counted a
+        && fst
+             (List.fold_left
+                (fun (ok, a) m ->
+                  let a' = step a m in
+                  (ok && counted a', a'))
+                (true, a) ms));
+    Test.make ~name:"add/remove_tuples agree with the make-based definitions"
+      ~count:300 arb_run (fun (a, ms) ->
+        ignore
+          (List.fold_left
+            (fun (a, model) m ->
+              let model' =
+                match m with
+                | Add (n, ts) -> add_via_make model n ts
+                | Remove (n, ts) -> remove_via_filter model n ts
+              in
+              let a' = step a m in
+              if not (Structure.equal a' model') then
+                Test.fail_reportf "diverged after %s:@ got %s@ want %s"
+                  (print_mutation m) (print_structure a')
+                  (print_structure model');
+              (a', model'))
+            (a, a) ms);
+        true);
+    Test.make ~name:"compare_t orders as (signature, universe, relations)"
+      ~count:300 (pair arb_run arb_run)
+      (fun ((a, ma), (b, mb)) ->
+        let a = List.fold_left step a ma and b = List.fold_left step b mb in
+        let key s =
+          (Structure.signature s, Structure.universe s, Structure.relations s)
+        in
+        let rebuilt s =
+          let sg, u, rels = key s in
+          Structure.make sg u rels
+        in
+        sign (Structure.compare_t a b) = sign (compare (key a) (key b))
+        && Structure.compare_t a (rebuilt a) = 0
+        && Structure.compare_t (rebuilt b) b = 0);
+  ]
+
 let suite =
   [
     ( "relational",
@@ -125,5 +250,6 @@ let suite =
         Alcotest.test_case "structure isomorphism" `Quick test_struct_iso;
         Alcotest.test_case "rename" `Quick test_rename;
       ]
-      @ List.map QCheck_alcotest.to_alcotest qcheck_tensor );
+      @ List.map QCheck_alcotest.to_alcotest (qcheck_tensor @ qcheck_mutations)
+    );
   ]

@@ -494,6 +494,114 @@ let test_server_pool_reuse () =
       | None -> Alcotest.fail "stats response has no result");
       Unix.close fd)
 
+(* The tuple gauge must follow every mutation: [stats] and /metrics
+   both read the evaluator's snapshot, which is republished before each
+   response is written, so a read issued after a response reflects it. *)
+let test_server_tuple_gauge () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ucqc-test-tuples-%d.sock" (Unix.getpid ()))
+  in
+  if Sys.file_exists path then Sys.remove path;
+  let config =
+    {
+      (Server.default_config ~listen:(Server.Unix_socket path) ~jobs:1) with
+      Server.queue_depth = 8;
+      cache_capacity = 8;
+      request_timeout_s = Some 10.;
+      metrics_addr = Some ("127.0.0.1", 0);
+    }
+  in
+  let t = Server.start config ~db:(small_db ()) in
+  let mport =
+    match Server.metrics_port t with
+    | Some p -> p
+    | None -> Alcotest.fail "metrics gateway not started"
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Server.stop t : int);
+      (* the server auto-enabled telemetry for its counters *)
+      Telemetry.disable ();
+      Telemetry.reset ())
+    (fun () ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let ic = Unix.in_channel_of_descr fd in
+      let request fields =
+        let line = Trace_json.to_string (Trace_json.Obj fields) ^ "\n" in
+        ignore (Unix.write_substring fd line 0 (String.length line) : int);
+        Trace_json.parse (input_line ic)
+      in
+      let path_num v keys =
+        match
+          List.fold_left
+            (fun v k -> Option.bind v (Trace_json.member k))
+            (Some v) keys
+        with
+        | Some (Trace_json.Num n) -> int_of_float n
+        | _ -> Alcotest.failf "response lacks %s" (String.concat "." keys)
+      in
+      let status v =
+        match Trace_json.member "status" v with
+        | Some (Trace_json.Str s) -> s
+        | _ -> Alcotest.fail "response lacks status"
+      in
+      let check_gauges what ~tuples ~epoch =
+        let st = request [ ("op", Trace_json.Str "stats") ] in
+        Alcotest.(check int)
+          (what ^ ": stats db.tuples") tuples
+          (path_num st [ "result"; "db"; "tuples" ]);
+        Alcotest.(check int)
+          (what ^ ": stats db.epoch") epoch
+          (path_num st [ "result"; "db"; "epoch" ]);
+        let code, body = Test_obs.http_get mport "/metrics" in
+        Alcotest.(check int) (what ^ ": metrics is 200") 200 code;
+        let samples =
+          match Prometheus.parse body with
+          | Ok s -> s
+          | Error msg -> Alcotest.fail ("exposition unparseable: " ^ msg)
+        in
+        Alcotest.(check (option (float 0.)))
+          (what ^ ": ucqc_db_tuples")
+          (Some (float_of_int tuples))
+          (Prometheus.find samples "ucqc_db_tuples")
+      in
+      let mutate op key value =
+        request [ ("op", Trace_json.Str op); (key, value) ]
+      in
+      check_gauges "load" ~tuples:5 ~epoch:0;
+      let r = mutate "insert" "fact" (Trace_json.Str "E(4, 0)") in
+      Alcotest.(check string) "insert ok" "ok" (status r);
+      check_gauges "insert" ~tuples:6 ~epoch:1;
+      let r = mutate "insert" "fact" (Trace_json.Str "E(0, 1)") in
+      Alcotest.(check string) "no-op insert ok" "ok" (status r);
+      check_gauges "no-op insert" ~tuples:6 ~epoch:1;
+      let r = mutate "delete" "fact" (Trace_json.Str "E(1, 2)") in
+      Alcotest.(check string) "delete ok" "ok" (status r);
+      check_gauges "delete" ~tuples:5 ~epoch:2;
+      let batch ds = Trace_json.Arr (List.map (fun d -> Trace_json.Str d) ds) in
+      (* +1 −1 +1 and one no-op *)
+      let r =
+        mutate "apply" "deltas"
+          (batch [ "+E(4, 1)"; "-E(0, 2)"; "+E(3, 0)"; "+E(0, 1)" ])
+      in
+      Alcotest.(check string) "batch ok" "ok" (status r);
+      Alcotest.(check int) "batch applied" 3 (path_num r [ "result"; "applied" ]);
+      Alcotest.(check int) "batch noop" 1 (path_num r [ "result"; "noop" ]);
+      check_gauges "apply batch" ~tuples:6 ~epoch:5;
+      (* 9 is outside the load-time universe: the whole batch is refused,
+         its valid first fact included *)
+      let r = mutate "apply" "deltas" (batch [ "+E(2, 0)"; "+E(9, 9)" ]) in
+      Alcotest.(check bool) "rejected batch is an error" true
+        (status r <> "ok");
+      check_gauges "rejected batch" ~tuples:6 ~epoch:5;
+      let r = mutate "insert" "fact" (Trace_json.Str "E(2, 0)") in
+      Alcotest.(check string) "insert after rejection ok" "ok" (status r);
+      check_gauges "insert after rejection" ~tuples:7 ~epoch:6;
+      Unix.close fd)
+
 let suite =
   [
     ( "server",
@@ -512,5 +620,7 @@ let suite =
         Alcotest.test_case "end to end" `Quick test_server_end_to_end;
         Alcotest.test_case "pool reuse across requests" `Quick
           test_server_pool_reuse;
+        Alcotest.test_case "tuple gauge follows mutations" `Quick
+          test_server_tuple_gauge;
       ] );
   ]

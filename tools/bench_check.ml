@@ -13,8 +13,12 @@
     - when the file says [parallel_comparison_valid] (produced on ≥ 2
       hardware threads): on the E3 inclusion–exclusion workload, jobs=2
       must beat jobs=1 wall-clock (speedup > 1.0) and the aggregate
-      [pool.worker] span time of the jobs=2 run must stay within 1.5×
-      its wall time (workers busy on work, not on spawn/join overhead).
+      [pool.worker] span time of the jobs=2 run must stay within 1.25×
+      the jobs=1 wall time: no wasted work.  Two busy workers sum to
+      about twice their own wall time, so a bar against the jobs=2 wall
+      would fail exactly when parallelism works; the sequential wall is
+      the work there is to do, and splitting it may cost at most a
+      quarter more.
 
     On a single-core producer the speedup section prints a NOTICE and is
     skipped — a 1-core "comparison" measures contention and failing on
@@ -167,9 +171,9 @@ let check_parallel (path : string) (j : Trace_json.t) : unit =
             runs
         in
         match (find_jobs 1, find_jobs 2) with
-        | Some _, Some r2 ->
+        | Some r1, Some r2 ->
             let speedup = num_exn "speedup_vs_1" r2 in
-            let wall_ms = 1000. *. num_exn "wall_s" r2 in
+            let seq_wall_ms = 1000. *. num_exn "wall_s" r1 in
             if speedup <= 1.0 then
               fail "E3 jobs=2 speedup %.3f <= 1.0 — parallelism is a net loss"
                 speedup
@@ -178,16 +182,17 @@ let check_parallel (path : string) (j : Trace_json.t) : unit =
                 speedup;
             (match worker_total_ms r2 with
             | Some total ->
-                if total > 1.5 *. wall_ms then
+                if total > 1.25 *. seq_wall_ms then
                   fail
-                    "E3 jobs=2 pool.worker total %.1f ms exceeds 1.5x wall \
-                     (%.1f ms) — workers burn time off the critical path"
-                    total wall_ms
+                    "E3 jobs=2 pool.worker total %.1f ms exceeds 1.25x the \
+                     jobs=1 wall (%.1f ms) — workers do work the sequential \
+                     run does not"
+                    total seq_wall_ms
                 else
                   Printf.printf
                     "bench_check: E3 jobs=2 pool.worker total %.1f ms within \
-                     1.5x wall (%.1f ms)\n"
-                    total wall_ms
+                     1.25x the jobs=1 wall (%.1f ms)\n"
+                    total seq_wall_ms
             | None -> fail "E3 jobs=2 run has no pool.worker phase")
         | _ -> fail "E3 runs for jobs=1 and jobs=2 missing")
   end
