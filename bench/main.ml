@@ -704,6 +704,42 @@ let phases_json (indent : string) (phases : Telemetry.span_stat list) : string =
            s.Telemetry.steps)
        phases)
 
+(* summed [pool.worker] span time of one traced run, in ms *)
+let worker_ms (phases : Telemetry.span_stat list) : float =
+  List.fold_left
+    (fun acc (st : Telemetry.span_stat) ->
+      if st.Telemetry.sname = "pool.worker" then
+        acc +. (Int64.to_float st.Telemetry.total_ns /. 1e6)
+      else acc)
+    0. phases
+
+(** Order statistics of repeated measurements. *)
+type spread = { min : float; q1 : float; median : float; q3 : float; max : float }
+
+let spread (xs : float list) : spread =
+  let a = Array.of_list (List.sort compare xs) in
+  let n = Array.length a in
+  let at k = a.(min (n - 1) k) in
+  { min = a.(0); q1 = at (n / 4); median = at (n / 2); q3 = at (3 * n / 4);
+    max = a.(n - 1) }
+
+let spread_json (scale : float) (s : spread) : string =
+  Printf.sprintf
+    "{\"min\": %.3f, \"q1\": %.3f, \"median\": %.3f, \"q3\": %.3f, \"max\": \
+     %.3f}"
+    (scale *. s.min) (scale *. s.q1) (scale *. s.median) (scale *. s.q3)
+    (scale *. s.max)
+
+(** One jobs value of a parallel workload, aggregated over repetitions. *)
+type parallel_run = {
+  jobs : int;
+  walls : spread;  (** untraced wall seconds *)
+  workers : spread;  (** Σ pool.worker ms of the traced runs *)
+  value : float;
+  reproducible : bool;
+  phases : Telemetry.span_stat list;  (** the median-Σ-worker traced run *)
+}
+
 let parallel_json () =
   let jobs_list = [ 1; 2; 4 ] in
   let psi1, ktk = Paper_examples.psi1 () in
@@ -737,21 +773,62 @@ let parallel_json () =
             .Karp_luby.value );
     ]
   in
+  (* The E3 bar of tools/bench_check.exe compares Σ pool.worker of the
+     jobs=2 run with the jobs=1 wall, so both inputs are medians of
+     [reps] interleaved repetitions: each repetition times one untraced
+     and one traced run of every jobs value before the next starts, so
+     host drift falls on all of them alike.  A run records the median
+     untraced wall, the phases of the traced run with the median
+     Σ pool.worker, and the quartile spread of both.  Jobs values above
+     the core count are measured after the others: the resident domains
+     they leave parked slow every later run on an oversubscribed host
+     (EXPERIMENTS.md, E17), which would tax the E3 inputs for a run
+     they do not belong to. *)
+  let reps = 7 in
+  let cores = Domain.recommended_domain_count () in
+  let measure run (jobs_group : int list) : parallel_run list =
+    let pools = List.map (fun jobs -> (jobs, Pool.create ~jobs ())) jobs_group in
+    let values =
+      List.map
+        (fun (_, pool) ->
+          let value = run pool in
+          (value, value = run pool))
+        pools
+    in
+    let samples =
+      List.concat
+        (List.init reps (fun _ ->
+             List.map
+               (fun (jobs, pool) ->
+                 (* start both runs from a collected heap, so neither pays
+                    for the garbage of the run before it *)
+                 Gc.full_major ();
+                 let t = wall_time ~reps:1 (fun () -> run pool) in
+                 Gc.full_major ();
+                 let phases = span_phases (fun () -> ignore (run pool)) in
+                 (jobs, t, phases))
+               pools))
+    in
+    List.map2
+      (fun (jobs, _) (value, reproducible) ->
+        let mine = List.filter (fun (j, _, _) -> j = jobs) samples in
+        let walls = spread (List.map (fun (_, t, _) -> t) mine) in
+        let by_worker =
+          List.sort
+            (fun (a, _) (b, _) -> compare a b)
+            (List.map (fun (_, _, p) -> (worker_ms p, p)) mine)
+        in
+        let workers = spread (List.map fst by_worker) in
+        let phases = snd (List.nth by_worker (reps / 2)) in
+        { jobs; walls; workers; value; reproducible; phases })
+      pools values
+  in
+  let fitting, oversubscribed = List.partition (fun j -> j <= cores) jobs_list in
   let measured =
     List.map
       (fun (name, exact_across_jobs, run) ->
-        let per_jobs =
-          List.map
-            (fun jobs ->
-              let pool = Pool.create ~jobs () in
-              let value = run pool in
-              let value' = run pool in
-              let t = wall_time (fun () -> run pool) in
-              let phases = span_phases (fun () -> ignore (run pool)) in
-              (jobs, t, value, value = value', phases))
-            jobs_list
-        in
-        (name, exact_across_jobs, per_jobs))
+        let first = measure run fitting in
+        (name, exact_across_jobs, first @ measure run oversubscribed))
       workloads
   in
   (* tracing overhead on the sequential IE workload: the acceptance bar
@@ -768,11 +845,7 @@ let parallel_json () =
   Telemetry.reset ();
   let overhead_pct = 100. *. ((t_on /. t_off) -. 1.) in
   let buf = Buffer.create 2048 in
-  let t1_of per_jobs =
-    match List.find_opt (fun (j, _, _, _, _) -> j = 1) per_jobs with
-    | Some (_, t, _, _, _) -> t
-    | None -> nan
-  in
+  let jobs1 per_jobs = List.find_opt (fun r -> r.jobs = 1) per_jobs in
   (* provenance stamp: which commit produced these numbers, and when —
      without it two BENCH_parallel.json files cannot be compared *)
   let git_commit = Buildid.git_commit () in
@@ -785,7 +858,6 @@ let parallel_json () =
   Buffer.add_string buf "{\n";
   Buffer.add_string buf (Printf.sprintf "  \"git_commit\": %S,\n" git_commit);
   Buffer.add_string buf (Printf.sprintf "  \"timestamp\": %S,\n" timestamp);
-  let cores = Domain.recommended_domain_count () in
   Buffer.add_string buf (Printf.sprintf "  \"cores_available\": %d,\n" cores);
   (* on a single hardware thread a jobs > 1 run measures contention, not
      parallelism: the speedup columns are recorded for the trajectory
@@ -799,11 +871,10 @@ let parallel_json () =
   Buffer.add_string buf "  \"workloads\": [\n";
   List.iteri
     (fun wi (name, exact_across_jobs, per_jobs) ->
-      let t1 = t1_of per_jobs in
-      let v1 =
-        match List.find_opt (fun (j, _, _, _, _) -> j = 1) per_jobs with
-        | Some (_, _, v, _, _) -> v
-        | None -> nan
+      let t1, v1 =
+        match jobs1 per_jobs with
+        | Some r -> (r.walls.median, r.value)
+        | None -> (nan, nan)
       in
       Buffer.add_string buf "    {\n";
       Buffer.add_string buf (Printf.sprintf "      \"name\": %S,\n" name);
@@ -811,21 +882,26 @@ let parallel_json () =
         (Printf.sprintf "      \"exact_across_jobs\": %b,\n" exact_across_jobs);
       Buffer.add_string buf "      \"runs\": [\n";
       List.iteri
-        (fun i (jobs, t, value, reproducible, phases) ->
+        (fun i r ->
           let consistent =
-            if exact_across_jobs then value = v1
+            if exact_across_jobs then r.value = v1
             else
-              reproducible
-              && abs_float (value -. v1) /. abs_float v1 < 0.2
+              r.reproducible
+              && abs_float (r.value -. v1) /. abs_float v1 < 0.2
           in
+          let t = r.walls.median in
           Buffer.add_string buf
             (Printf.sprintf
                "        {\"jobs\": %d, \"wall_s\": %.6f, \"speedup_vs_1\": \
                 %.3f, \"value\": %.4f, \"reproducible\": %b, \
-                \"consistent\": %b,\n         \"phases\": [\n%s\n         \
+                \"consistent\": %b,\n         \"reps\": %d, \
+                \"wall_spread_ms\": %s,\n         \"worker_ms\": %.3f, \
+                \"worker_spread_ms\": %s,\n         \"phases\": [\n%s\n         \
                 ]}%s\n"
-               jobs t (t1 /. t) value reproducible consistent
-               (phases_json "          " phases)
+               r.jobs t (t1 /. t) r.value r.reproducible consistent reps
+               (spread_json 1000. r.walls) r.workers.median
+               (spread_json 1. r.workers)
+               (phases_json "          " r.phases)
                (if i = List.length per_jobs - 1 then "" else ",")))
         per_jobs;
       Buffer.add_string buf "      ]\n";
@@ -837,7 +913,7 @@ let parallel_json () =
   Buffer.add_string buf "  ],\n";
   (* resident-pool evidence: every workload above ran on the same
      process-global worker registry, so the spawn count is the total
-     domains created across all [3 workloads × 3 jobs × ~10 runs] — the
+     domains created across all [2 workloads × 3 jobs × 16 runs] — the
      pre-persistent pool spawned (jobs − 1) fresh domains per run *)
   Buffer.add_string buf
     (Printf.sprintf

@@ -29,6 +29,10 @@ type t = {
   expansion_steps : int;
       (** exact deterministic tick count of [Ucq.expansion] *)
   support : term_info list;  (** non-zero-coefficient classes *)
+  support_terms : Ucq.expansion_term list;
+      (** the classes profiled in [support], in the same order — what
+          [Ucq.count_terms] evaluates, so a caller that predicted first
+          need not expand again *)
   dropped : int;  (** zero-coefficient classes (computed, then skipped) *)
   max_tw_upper : int;  (** [max] over support of [tw_upper] ([-1] if empty) *)
   all_acyclic : bool;  (** every support term acyclic *)
@@ -93,16 +97,17 @@ let predict ?(budget : Budget.t option) ?(pool : Pool.t option) (psi : Ucq.t) :
         raise (Budget.Exhausted e)
   in
   let expansion_steps = Budget.steps_done meter in
-  let support, dropped =
+  let support_terms, dropped =
     List.partition (fun t -> t.Ucq.coefficient <> 0) terms
   in
-  let support = List.map (term_info ?budget) support in
+  let support = List.map (term_info ?budget) support_terms in
   let disjuncts = Ucq.length psi in
   {
     disjuncts;
     subsets = (if disjuncts < 62 then (1 lsl disjuncts) - 1 else max_int);
     expansion_steps;
     support;
+    support_terms;
     dropped = List.length dropped;
     max_tw_upper = List.fold_left (fun m t -> max m t.tw_upper) (-1) support;
     all_acyclic = List.for_all (fun t -> t.acyclic) support;

@@ -28,6 +28,10 @@ type t = {
   expansion_steps : int;
       (** exact deterministic tick count of [Ucq.expansion] *)
   support : term_info list;  (** non-zero-coefficient classes *)
+  support_terms : Ucq.expansion_term list;
+      (** the classes profiled in [support], in the same order — what
+          [Ucq.count_terms] evaluates, so a caller that predicted first
+          need not expand again *)
   dropped : int;  (** zero-coefficient classes (computed, then skipped) *)
   max_tw_upper : int;  (** [max] over support of [tw_upper] ([-1] if empty) *)
   all_acyclic : bool;  (** every support term acyclic *)

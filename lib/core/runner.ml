@@ -84,13 +84,15 @@ let plan_predict_cap = 200_000
     cover optimizer ({!Optimize.run}): the answer count is unchanged by
     construction, but dropped disjuncts shrink the [2^ℓ] expansion the
     exact path must pay for.  [select] (default [false]) replaces the
-    fixed try-then-degrade order with predictor-driven selection: the
-    calibrated {!Plan} estimate (computed on a private capped budget)
-    decides up front whether the exact expansion can finish under the
-    remaining budget, and on a [Fallback] verdict goes straight to
-    Karp–Luby without sinking the budget into a doomed exact attempt.
-    Selection only ever skips work — a wrong [Exact] verdict still
-    degrades normally on exhaustion. *)
+    fixed try-then-degrade order with predictor-driven selection under a
+    step limit: the calibrated {!Plan} estimate (computed on a private
+    capped budget) decides up front whether the exact expansion can
+    finish under the remaining budget, and on a [Fallback] verdict goes
+    straight to Karp–Luby without sinking the budget into a doomed exact
+    attempt.  On an [Exact] verdict the attempt counts the predictor's
+    support terms instead of expanding again.  Selection only ever skips
+    work — a wrong [Exact] verdict still degrades normally on
+    exhaustion. *)
 let count ?strategy ?(via = Expansion) ?(fallback = true)
     ?(optimize = false) ?(select = false) ?(epsilon = default_epsilon)
     ?(delta = default_delta) ?seed ?(pool : Pool.t option)
@@ -113,9 +115,33 @@ let count ?strategy ?(via = Expansion) ?(fallback = true)
       r.Optimize.optimized
     end
   in
+  (* Predictor-driven selection: only meaningful for the expansion
+     method (the predictor meters exactly that code path), only when a
+     fallback exists to select, and only under a step limit — without
+     one [Plan.predicted_outcome] is [Exact] by construction, so running
+     the predictor would only pay for the expansion twice.  Advisory:
+     prediction failures of any kind (the private cap included) fall
+     back to the try-then-degrade order. *)
+  let max_steps = Budget.remaining_steps budget in
+  let plan =
+    if select && fallback && via = Expansion && max_steps <> None then
+      match Plan.predict ~budget:(Budget.of_steps plan_predict_cap) ?pool psi with
+      | plan -> Some plan
+      | exception _ -> None
+    else None
+  in
+  let predicted_fallback =
+    match plan with
+    | Some plan ->
+        Plan.predicted_outcome ?max_steps
+          ~db_elems:(Structure.universe_size d)
+          ~db_tuples:(Structure.num_tuples d) plan
+        = Plan.Fallback
+    | None -> false
+  in
   let exact () =
     match via with
-    | Expansion ->
+    | Expansion -> (
         (* with real parallelism, rank the expansion terms by the
            calibrated database-aware estimate so the pool packs the
            most expensive term first; sequentially the ranking is dead
@@ -128,7 +154,17 @@ let count ?strategy ?(via = Expansion) ?(fallback = true)
                  ~db_tuples:(Structure.num_tuples d))
           else None
         in
-        Ucq.count_via_expansion ?strategy ~budget ?pool ?term_cost psi d
+        match plan with
+        | Some plan ->
+            (* the predictor already expanded [psi]: charge the exact,
+               deterministic tick count of that expansion to this
+               attempt and count its support, so tick totals and
+               exhaustion points are those of expanding again *)
+            Budget.ticks budget plan.Plan.expansion_steps;
+            Ucq.count_terms ?strategy ~budget ?pool ?term_cost
+              plan.Plan.support_terms d
+        | None ->
+            Ucq.count_via_expansion ?strategy ~budget ?pool ?term_cost psi d)
     | Inclusion_exclusion ->
         Ucq.count_inclusion_exclusion ?strategy ~budget ?pool psi d
     | Naive -> Ucq.count_naive ~budget ?pool psi d
@@ -139,22 +175,6 @@ let count ?strategy ?(via = Expansion) ?(fallback = true)
         let est = Karp_luby.fpras ?seed ?pool ~epsilon ~delta psi d in
         Approximate
           { value = est.Karp_luby.value; epsilon; delta; exhausted; abandoned })
-  in
-  (* Predictor-driven selection: only meaningful for the expansion
-     method (the predictor meters exactly that code path), only when a
-     fallback exists to select, and only advisory — prediction failures
-     of any kind fall back to the try-then-degrade order. *)
-  let predicted_fallback =
-    select && fallback && via = Expansion
-    &&
-    match Plan.predict ~budget:(Budget.of_steps plan_predict_cap) ?pool psi with
-    | plan ->
-        Plan.predicted_outcome
-          ?max_steps:(Budget.remaining_steps budget)
-          ~db_elems:(Structure.universe_size d)
-          ~db_tuples:(Structure.num_tuples d) plan
-        = Plan.Fallback
-    | exception _ -> false
   in
   if predicted_fallback then
     estimate

@@ -66,8 +66,14 @@ val default_delta : float
     [select] (default [false]) lets the calibrated {!Plan} predictor
     skip a doomed exact attempt and go straight to the estimator
     (expansion method only; advisory — a wrong [Exact] verdict still
-    degrades normally).  A selection-skipped run reports exhaustion
-    phase ["count.predicted"] with zero consumed steps. *)
+    degrades normally).  The predictor runs only under a step limit:
+    without one its verdict is [Exact] by construction, so the count
+    expands once, exactly as without [select].  On an [Exact] verdict
+    the exact attempt reuses the predicted support terms and charges the
+    predicted (exact, deterministic) expansion tick count, so tick totals
+    and exhaustion points equal those of expanding again.  A
+    selection-skipped run reports exhaustion phase ["count.predicted"]
+    with zero consumed steps. *)
 val count :
   ?strategy:Counting.strategy ->
   ?via:count_method ->

@@ -144,6 +144,7 @@ let is_union_of_self_join_free (psi : t) : bool =
 
 let ie_terms_c = Telemetry.counter "ucq.ie.terms"
 let expansion_classes_c = Telemetry.counter "ucq.expansion.classes"
+let expansion_iso_tests_c = Telemetry.counter "ucq.expansion.iso_tests"
 
 (* bitmask of an index set [J ⊆ [ℓ]], for span attributes *)
 let subset_mask (j : int list) : int =
@@ -254,6 +255,18 @@ let count_inclusion_exclusion ?(strategy = Counting.Auto)
     [c_Ψ]. *)
 type expansion_term = { representative : Cq.t; coefficient : int }
 
+(* A cheap isomorphism invariant of a #core: universe size, number of
+   free variables and the tuple count of every relation — the facts the
+   shape test of [Struct_iso.find_isomorphism] compares before it
+   searches (the signature, its other fact, is shared by every core of
+   one union), so isomorphic cores always share a key. *)
+let iso_key (q : Cq.t) : int * int * (string * int) list =
+  let a = Cq.structure q in
+  ( Structure.universe_size a,
+    List.length (Cq.free q),
+    List.map (fun (name, ts) -> (name, List.length ts)) (Structure.relations a)
+  )
+
 (** [expansion ?budget ?pool psi] computes the CQ expansion of [Ψ]: group
     the combined queries [∧(Ψ|_J)] over all nonempty [J] by #equivalence
     and sum the signs [(-1)^(|J|+1)].  Representatives are #minimal (they
@@ -262,8 +275,10 @@ type expansion_term = { representative : Cq.t; coefficient : int }
     retained; use {!support} for the non-vanishing part.  Runs in time
     [2^ℓ · poly(|Ψ|)]; the budget is ticked once per index set.  The
     per-subset #core computations are independent and run on the pool;
-    the isomorphism grouping is a sequential pass in bitmask order, so
-    the class list is identical for every job count. *)
+    the grouping is a sequential pass in bitmask order that buckets the
+    classes by {!iso_key} and tests isomorphism only within a bucket, so
+    the class list (in order of first appearance) is identical for every
+    job count. *)
 let expansion ?(budget : Budget.t option) ?(pool : Pool.t option) (psi : t) :
     expansion_term list =
   Telemetry.with_span ?budget
@@ -284,22 +299,31 @@ let expansion ?(budget : Budget.t option) ?(pool : Pool.t option) (psi : t) :
   let cores =
     Pool.map_opt pool ?budget ?costs core_of (nonempty_index_sets psi)
   in
+  (* classes newest first; a core is isomorphic to at most one class, so
+     the scan order inside a bucket cannot change the result *)
   let classes : (Cq.t * int ref) list ref = ref [] in
+  let buckets = Hashtbl.create 64 in
+  let iso_tests = ref 0 in
   Array.iter
     (fun (core, sign) ->
-      let rec insert = function
-        | [] -> classes := !classes @ [ (core, ref sign) ]
-        | (rep, coeff) :: rest ->
-            (* syntactic equality is a cheap certificate of isomorphism
-               and the common case in quantifier-free expansions *)
-            if Cq.equal rep core || Cq.isomorphic rep core then
-              coeff := !coeff + sign
-            else insert rest
+      let key = iso_key core in
+      let bucket = Option.value (Hashtbl.find_opt buckets key) ~default:[] in
+      let same (rep, _) =
+        incr iso_tests;
+        (* syntactic equality is a cheap certificate of isomorphism
+           and the common case in quantifier-free expansions *)
+        Cq.equal rep core || Cq.isomorphic rep core
       in
-      insert !classes)
+      match List.find_opt same bucket with
+      | Some (_, coeff) -> coeff := !coeff + sign
+      | None ->
+          let cls = (core, ref sign) in
+          Hashtbl.replace buckets key (cls :: bucket);
+          classes := cls :: !classes)
     cores;
+  Telemetry.add expansion_iso_tests_c !iso_tests;
   Telemetry.add expansion_classes_c (List.length !classes);
-  List.map
+  List.rev_map
     (fun (rep, coeff) -> { representative = rep; coefficient = !coeff })
     !classes
 
@@ -320,24 +344,19 @@ let coefficient (psi : t) (q : Cq.t) : int =
       else acc)
     0 (expansion psi)
 
-(** [count_via_expansion ?strategy ?budget ?pool ?term_cost psi d]
-    evaluates the linear combination of Lemma 26 term by term:
-    [Σ c_Ψ(A,X) · ans((A,X) → D)].  Each surviving term is an independent
+(** [count_terms ?strategy ?budget ?pool ?term_cost terms d] evaluates
+    an already computed expansion on [d]: the linear combination of
+    Lemma 26, [Σ c_Ψ(A,X) · ans((A,X) → D)], over the terms with a
+    non-zero coefficient.  Each surviving term is an independent
     {!Counting.count} call fanned out on the pool; [term_cost] ranks the
     terms for largest-first placement (the Runner passes the calibrated
     database-aware estimate from the analysis layer). *)
-let count_via_expansion ?(strategy = Counting.Auto) ?(budget : Budget.t option)
-    ?(pool : Pool.t option) ?(term_cost : (Cq.t -> float) option) (psi : t)
-    (d : Structure.t) : int =
-  Telemetry.with_span ?budget
-    ~attrs:(fun () -> [ ("l", Telemetry.I (length psi)) ])
-    "ucq.count_via_expansion"
-  @@ fun () ->
+let count_terms ?(strategy = Counting.Auto) ?(budget : Budget.t option)
+    ?(pool : Pool.t option) ?(term_cost : (Cq.t -> float) option)
+    (terms : expansion_term list) (d : Structure.t) : int =
   let terms =
     Array.of_list
-      (List.filter
-         (fun (t : expansion_term) -> t.coefficient <> 0)
-         (expansion ?budget ?pool psi))
+      (List.filter (fun (t : expansion_term) -> t.coefficient <> 0) terms)
   in
   let costs =
     if Pool.is_parallel pool then
@@ -349,6 +368,16 @@ let count_via_expansion ?(strategy = Counting.Auto) ?(budget : Budget.t option)
     ~f:(fun (term : expansion_term) ->
       term.coefficient * Counting.count ~strategy ?budget term.representative d)
     ~combine:( + ) ~init:0 terms
+
+(** [count_via_expansion ?strategy ?budget ?pool ?term_cost psi d] is
+    {!expansion} followed by {!count_terms}. *)
+let count_via_expansion ?strategy ?(budget : Budget.t option)
+    ?(pool : Pool.t option) ?term_cost (psi : t) (d : Structure.t) : int =
+  Telemetry.with_span ?budget
+    ~attrs:(fun () -> [ ("l", Telemetry.I (length psi)) ])
+    "ucq.count_via_expansion"
+  @@ fun () ->
+  count_terms ?strategy ?budget ?pool ?term_cost (expansion ?budget ?pool psi) d
 
 (** [is_exhaustively_q_hierarchical psi] checks the Berkholz–Keppeler–
     Schweikardt criterion for constant-delay dynamic counting of UCQs

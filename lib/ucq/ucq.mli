@@ -86,8 +86,12 @@ type expansion_term = { representative : Cq.t; coefficient : int }
     nonempty [J] by #equivalence and sums the signs; zero-coefficient
     classes are retained.  Runs in [2^ℓ · poly(|Ψ|)] time; the per-subset
     #core computations fan out on the pool, the grouping pass is
-    sequential in bitmask order (identical classes for every job
-    count). *)
+    sequential in bitmask order (identical classes, in order of first
+    appearance, for every job count).  Grouping buckets the cores by a
+    cheap isomorphism invariant (universe size, free-variable count and
+    per-relation tuple counts) and runs the isomorphism test only within
+    a bucket; the [ucq.expansion.iso_tests] counter records how many
+    pairwise tests it ran. *)
 val expansion : ?budget:Budget.t -> ?pool:Pool.t -> t -> expansion_term list
 
 (** [support ?budget ?pool psi] is the expansion restricted to non-zero
@@ -97,11 +101,25 @@ val support : ?budget:Budget.t -> ?pool:Pool.t -> t -> expansion_term list
 (** [coefficient psi q] is [c_Ψ(A, X)] for the class of [q]. *)
 val coefficient : t -> Cq.t -> int
 
-(** [count_via_expansion ?strategy ?budget ?pool ?term_cost psi d]
-    evaluates the Lemma 26 linear combination term by term, one pool task
-    per surviving term.  [term_cost] ranks terms for the pool's
+(** [count_terms ?strategy ?budget ?pool ?term_cost terms d] evaluates an
+    already computed expansion (or its {!support}) on [d]: the Lemma 26
+    linear combination term by term, one pool task per term with a
+    non-zero coefficient.  [term_cost] ranks terms for the pool's
     largest-first placement (default: a syntactic size proxy); it never
-    affects the result, only the schedule. *)
+    affects the result, only the schedule.  Callers that already hold the
+    expansion — the Runner reuses the predictor's — count it without
+    paying the [2^ℓ] subset work again. *)
+val count_terms :
+  ?strategy:Counting.strategy ->
+  ?budget:Budget.t ->
+  ?pool:Pool.t ->
+  ?term_cost:(Cq.t -> float) ->
+  expansion_term list ->
+  Structure.t ->
+  int
+
+(** [count_via_expansion ?strategy ?budget ?pool ?term_cost psi d] is
+    {!expansion} followed by {!count_terms}. *)
 val count_via_expansion :
   ?strategy:Counting.strategy ->
   ?budget:Budget.t ->

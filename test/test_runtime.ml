@@ -211,6 +211,89 @@ let test_runner_count_determinism () =
         (strip r1 = strip r2))
     [ 1; 30; 200; 2000 ]
 
+(* free {x, y}: a 3-walk, a 2-walk and an edge — seven expansion subsets *)
+let walk_psi () =
+  Ucq.make
+    [
+      mkcq 4 [ [ 0; 2 ]; [ 2; 3 ]; [ 3; 1 ] ] [ 0; 1 ];
+      mkcq 3 [ [ 0; 2 ]; [ 2; 1 ] ] [ 0; 1 ];
+      mkcq 2 [ [ 0; 1 ] ] [ 0; 1 ];
+    ]
+
+let test_runner_select_one_expansion () =
+  let psi = walk_psi () and db = dense_db () in
+  (* [run f] is [f ()] with the number of [ucq.expansion] spans it ran *)
+  let run f =
+    Telemetry.reset ();
+    Telemetry.enable ();
+    let r = f () in
+    Telemetry.disable ();
+    let spans =
+      match
+        List.find_opt
+          (fun (s : Telemetry.span_stat) -> s.Telemetry.sname = "ucq.expansion")
+          (Telemetry.span_stats ())
+      with
+      | Some s -> s.Telemetry.calls
+      | None -> 0
+    in
+    Telemetry.reset ();
+    (r, spans)
+  in
+  let exact = Ucq.count_via_expansion psi db in
+  let expect_one_expansion label budget =
+    match run (fun () -> Runner.count ~select:true ~budget psi db) with
+    | Ok (Runner.Exact n), spans ->
+        Alcotest.(check int) (label ^ ": count") exact n;
+        Alcotest.(check int) (label ^ ": ucq.expansion spans") 1 spans
+    | _ -> Alcotest.failf "%s: expected an exact count" label
+  in
+  (* no step limit: the predictor's verdict is forced, so it never runs *)
+  expect_one_expansion "unlimited" (Budget.unlimited ());
+  (* an ample limit: the predictor runs, the exact attempt reuses it *)
+  expect_one_expansion "ample limit" (Budget.of_steps 10_000_000);
+  (* a limit at the exact expansion cost (7 subsets) is a certain skip *)
+  (match Runner.count ~seed:5 ~select:true ~budget:(Budget.of_steps 7) psi db with
+  | Ok (Runner.Approximate { exhausted; abandoned; _ }) ->
+      Alcotest.(check string) "predicted phase" "count.predicted"
+        exhausted.Budget.phase;
+      Alcotest.(check int) "no step spent" 0 exhausted.Budget.steps_done;
+      Alcotest.(check int) "nothing abandoned" 0 abandoned.Runner.steps
+  | _ -> Alcotest.fail "a limit below the expansion cost must predict Fallback");
+  (* wherever the predictor lets the exact attempt run, reusing its
+     support must leave the outcome, the exhaustion point and the tick
+     total exactly as an attempt that expands again *)
+  let strip = function
+    | Ok (Runner.Approximate a) ->
+        Ok
+          (Runner.Approximate
+             { a with abandoned = { a.abandoned with elapsed_s = 0. } })
+    | r -> r
+  in
+  let attempted = ref 0 in
+  List.iter
+    (fun m ->
+      let b_select = Budget.of_steps m and b_plain = Budget.of_steps m in
+      let r_select = Runner.count ~seed:5 ~select:true ~budget:b_select psi db in
+      let r_plain = Runner.count ~seed:5 ~budget:b_plain psi db in
+      match r_select with
+      | Ok
+          (Runner.Approximate
+             { exhausted = { Budget.phase = "count.predicted"; _ }; _ }) ->
+          ()
+      | _ ->
+          incr attempted;
+          Alcotest.(check bool)
+            (Printf.sprintf "same outcome at %d steps" m)
+            true
+            (strip r_select = strip r_plain);
+          Alcotest.(check int)
+            (Printf.sprintf "same tick total at %d steps" m)
+            (Budget.steps_done b_plain) (Budget.steps_done b_select))
+    [ 1; 7; 8; 10; 20; 50; 100; 200; 500; 1000; 2000; 5000; 100_000 ];
+  Alcotest.(check bool) "some limits reach the exact attempt" true
+    (!attempted > 0)
+
 let test_runner_treewidth_fallback () =
   let g = searchy_graph () in
   let exact =
@@ -451,6 +534,8 @@ let suite =
           test_budget_does_not_change_results;
         Alcotest.test_case "runner count fallback" `Quick
           test_runner_count_fallback;
+        Alcotest.test_case "runner select: one expansion" `Quick
+          test_runner_select_one_expansion;
         Alcotest.test_case "runner count determinism" `Quick
           test_runner_count_determinism;
         Alcotest.test_case "runner treewidth fallback" `Quick

@@ -199,6 +199,160 @@ let test_compiled () =
         (Ucq.count_compiled c db))
     [ 1; 2; 3 ]
 
+(* ------------------------------------------------------------------ *)
+(* Expansion grouping against the quadratic reference                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The grouping [Ucq.expansion] used before it bucketed cores by an
+   isomorphism invariant, kept as the oracle: scan every class found so
+   far, in order of first appearance, append a new class at the end.
+   [tests] counts the pairwise [Cq.equal]/[Cq.isomorphic] tests. *)
+let reference_expansion ?(tests = ref 0) (psi : Ucq.t) :
+    (Cq.t * int) list =
+  let classes : (Cq.t * int ref) list ref = ref [] in
+  List.iter
+    (fun j ->
+      let core = Cq.sharp_core (Ucq.combined psi j) in
+      let sign = if List.length j mod 2 = 1 then 1 else -1 in
+      let rec insert = function
+        | [] -> classes := !classes @ [ (core, ref sign) ]
+        | (rep, coeff) :: rest ->
+            incr tests;
+            if Cq.equal rep core || Cq.isomorphic rep core then
+              coeff := !coeff + sign
+            else insert rest
+      in
+      insert !classes)
+    (Combinat.nonempty_subsets (Ucq.length psi));
+  List.map (fun (rep, coeff) -> (rep, !coeff)) !classes
+
+let same_as_reference (psi : Ucq.t) (terms : Ucq.expansion_term list) : bool
+    =
+  let reference = reference_expansion psi in
+  List.length reference = List.length terms
+  && List.for_all2
+       (fun (rep, coeff) (t : Ucq.expansion_term) ->
+         Cq.equal rep t.representative && coeff = t.coefficient)
+       reference terms
+
+let sg_ef = Signature.make [ Signature.symbol "E" 2; Signature.symbol "F" 2 ]
+
+(* swap the free variables 0 and 1: an isomorphic, usually unequal copy *)
+let swap_free (q : Cq.t) : Cq.t =
+  let swap v = if v = 0 then 1 else if v = 1 then 0 else v in
+  Cq.make (Structure.rename (Cq.structure q) swap) (Cq.free q)
+
+(* A random union plus two copies of its first disjunct: [Ucq.make]
+   renames the quantified variables of the verbatim copy apart, and the
+   second copy swaps the free variables, so the expansion meets cores
+   that are isomorphic but not equal as well as equal ones. *)
+let random_union_with_twins seed : Ucq.t =
+  let psi =
+    Qgen.random_ucq ~seed ~max_disjuncts:3 ~max_vars:4 ~max_atoms:3 sg_ef
+  in
+  let first = Ucq.disjunct psi 0 in
+  Ucq.make (Ucq.disjuncts psi @ [ first; swap_free first ])
+
+let pools = lazy (List.map (fun jobs -> Pool.create ~jobs ()) [ 1; 2; 4 ])
+
+let qcheck_expansion_grouping =
+  QCheck.Test.make ~name:"bucketed expansion = quadratic reference grouping"
+    ~count:80 (QCheck.int_range 0 100_000) (fun seed ->
+      let psi = random_union_with_twins seed in
+      List.for_all
+        (fun pool -> same_as_reference psi (Ucq.expansion ~pool psi))
+        (Lazy.force pools))
+
+let test_grouping_merges_isomorphic () =
+  (* the symmetric pair's singletons are isomorphic but not equal: the
+     reference merges them, so must the buckets *)
+  Alcotest.(check bool) "psi_sym" true
+    (same_as_reference psi_sym (Ucq.expansion psi_sym));
+  let merged =
+    List.exists
+      (fun seed ->
+        let psi = random_union_with_twins seed in
+        let cores =
+          List.map
+            (fun j -> Cq.sharp_core (Ucq.combined psi j))
+            (Combinat.nonempty_subsets (Ucq.length psi))
+        in
+        List.exists
+          (fun a ->
+            List.exists
+              (fun b -> (not (Cq.equal a b)) && Cq.isomorphic a b)
+              cores)
+          cores)
+      (List.init 10 Fun.id)
+  in
+  Alcotest.(check bool) "generator yields isomorphic, unequal cores" true
+    merged
+
+(* The planted wide union of the end-to-end benchmark: nine kept
+   disjuncts, each with its own relation R<k>, so the 511 combined
+   queries are pairwise inequivalent, plus three disjuncts the optimizer
+   drops (a duplicate of the first, two subsumed ones). *)
+let wide_union_text =
+  "(x) :- R0(x, a0) ; R1(a1, x), E(a1, b1) ; R2(x, a2), E(a2, b2), E(b2, x) \
+   ; R3(x, a3), E(a3, b3), E(b3, c3) ; R4(a4, x), E(a4, b4), E(b4, a4) ; \
+   R5(x, a5), R5(a5, b5) ; R6(x, a6), E(x, b6), E(a6, b6) ; R7(a7, x), \
+   E(a7, b7), E(b7, c7), E(c7, a7) ; R8(x, a8), E(a8, a8) ; R0(x, z9) ; \
+   R1(a10, x), E(a10, b10), E(b10, c10) ; R3(x, a11), E(a11, b11), \
+   E(b11, c11), E(c11, x)"
+
+let wide_union () =
+  match Parse.ucq_result wide_union_text with
+  | Ok (psi, _) -> psi
+  | Error e -> Alcotest.failf "parse failed: %s" (Ucqc_error.to_string e)
+
+let test_wide_union_one_expansion () =
+  let psi = wide_union () in
+  let db =
+    let sg = Structure.signature (Cq.structure (Ucq.disjunct psi 0)) in
+    let rels =
+      List.map
+        (fun (s : Signature.symbol) ->
+          ( s.Signature.name,
+            List.init 10 (fun i -> [ (3 * i) mod 7; ((5 * i) + 1) mod 7 ]) ))
+        sg
+    in
+    Structure.make sg (List.init 7 Fun.id) rels
+  in
+  let expected = Ucq.count_naive psi db in
+  Telemetry.reset ();
+  Telemetry.enable ();
+  let outcome =
+    Runner.count ~optimize:true ~select:true ~budget:(Budget.unlimited ()) psi
+      db
+  in
+  Telemetry.disable ();
+  let calls name =
+    match
+      List.find_opt
+        (fun (s : Telemetry.span_stat) -> s.Telemetry.sname = name)
+        (Telemetry.span_stats ())
+    with
+    | Some s -> s.Telemetry.calls
+    | None -> 0
+  in
+  let counter name = List.assoc name (Telemetry.counters_snapshot ()) in
+  let expansions = calls "ucq.expansion" in
+  let iso_tests = counter "ucq.expansion.iso_tests" in
+  let classes = counter "ucq.expansion.classes" in
+  Telemetry.reset ();
+  (match outcome with
+  | Ok (Runner.Exact n) -> Alcotest.(check int) "count" expected n
+  | _ -> Alcotest.fail "expected an exact count");
+  Alcotest.(check int) "one ucq.expansion span" 1 expansions;
+  Alcotest.(check int) "511 classes" 511 classes;
+  Alcotest.(check int) "no pairwise isomorphism test" 0 iso_tests;
+  (* the quadratic grouping paid one test per pair of the 511 classes *)
+  let tests = ref 0 in
+  let optimized = (Optimize.run psi).Optimize.optimized in
+  ignore (reference_expansion ~tests optimized);
+  Alcotest.(check int) "reference grouping: 511 * 510 / 2 tests" 130_305
+    !tests
+
 let qcheck_counting =
   let open QCheck in
   let gen_disjunct =
@@ -270,6 +424,11 @@ let suite =
         Alcotest.test_case "compiled expansions" `Quick test_compiled;
         Alcotest.test_case "exhaustive q-hierarchicality" `Quick
           test_exhaustive_q_hierarchical;
+        Alcotest.test_case "grouping merges isomorphic cores" `Quick
+          test_grouping_merges_isomorphic;
+        Alcotest.test_case "wide union: one expansion, no iso test" `Quick
+          test_wide_union_one_expansion;
       ]
-      @ List.map QCheck_alcotest.to_alcotest qcheck_counting );
+      @ List.map QCheck_alcotest.to_alcotest
+          (qcheck_expansion_grouping :: qcheck_counting) );
   ]
